@@ -97,19 +97,6 @@ def _load_lottery(path: str) -> Lottery:
         return Lottery.from_json(json.load(fh))
 
 
-def _cert_json(cert) -> dict:
-    return {
-        "distribution": cert.distribution,
-        "base": cert.base,
-        "epsilon": cert.epsilon,
-        "k": cert.k,
-        "achieved": float(cert.achieved),
-        "support_ok": cert.support_ok,
-        "valid": cert.valid,
-        "attempts": cert.attempts,
-    }
-
-
 def _cmd_generate(args) -> int:
     e = generate_election(args.family, args.n, args.m, args.seed,
                           path=args.path)
@@ -155,9 +142,9 @@ def _cmd_sample(args) -> int:
                                    args.seed, max_attempts=args.max_attempts,
                                    q=args.q)
     except RepApxSamplingError as err:
-        _emit({"error": str(err), "best": _cert_json(err.best)}, args.out)
+        _emit({"error": str(err), "best": err.best.to_json()}, args.out)
         return 2
-    _emit(_cert_json(cert), args.out)
+    _emit(cert.to_json(), args.out)
     return 0
 
 
@@ -177,10 +164,10 @@ def _cmd_prune(args) -> int:
         try:
             out = repapx_pruned_lottery(e, args.epsilon, args.k, args.theta,
                                         args.seed, gamma=args.gamma)
-            payload["cert"] = _cert_json(out["cert"])
+            payload["cert"] = out["cert"].to_json()
         except RepApxSamplingError as err:
             payload["error"] = str(err)
-            payload["best"] = _cert_json(err.best)
+            payload["best"] = err.best.to_json()
             code = 2
     _emit(payload, args.out)
     return code
@@ -208,7 +195,7 @@ def _cmd_mix(args) -> int:
         "lottery": out["lottery"],
         "mu_used": out["mu_used"],
         "pruned": list(out["pruned"]),
-        "components": {name: _cert_json(c)
+        "components": {name: c.to_json()
                        for name, c in out["components"].items()},
         "roster": {"counts": dict(flat.roster.counts),
                    "size": flat.roster.size},
@@ -228,7 +215,7 @@ def _cmd_distortion(args) -> int:
         return 1
     spec = _load_spec(args.spec)
     detail = biased_distortion(e, spec, d)
-    report = biased_report(e, spec, d)
+    report = biased_report(e, spec, d, detail=detail)
     _emit({"report": report.to_json(),
            "L": detail["L"], "R": detail["R"],
            "degenerate": detail["degenerate"]}, args.out)

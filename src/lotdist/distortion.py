@@ -256,13 +256,16 @@ def biased_distortion(e: Election, spec: BiasedMetricSpec, d: Lottery) -> dict:
     return {"L": big_l, "R": big_r, "ratio": 1 + 2 * big_l / big_r, "degenerate": False}
 
 
-def biased_report(e: Election, spec: BiasedMetricSpec, d: Lottery) -> DistortionReport:
+def biased_report(e: Election, spec: BiasedMetricSpec, d: Lottery,
+                  detail: dict | None = None) -> DistortionReport:
     """biased_distortion wrapped as a DistortionReport with the distance table.
 
     A degenerate spec zeroes the reference's social cost; the ratio is then
     infinite whenever the lottery still pays anything, and 1 otherwise.
+    ``detail`` is ``biased_distortion(e, spec, d)`` when the caller already
+    has it, so that it is not computed twice.
     """
-    res = biased_distortion(e, spec, d)
+    res = biased_distortion(e, spec, d) if detail is None else detail
     if res["degenerate"]:
         value = math.inf if res["L"] > 0 else 1
     else:

@@ -8,12 +8,12 @@ A Stable k-Lottery generalizes this to an attacker fielding k i.i.d. draws
 against a single defender; the game value is 1 - 1/(k+1).  Equilibria of that
 game are generally irrational even on tiny instances (the 2-candidate margin
 2/3 instance at k=3 already mixes at a quartic root), so the attacker side is
-found numerically: a projected-subgradient warmup with Polyak steps on
-``max_a Pr[a beats D^k]`` followed by an SLSQP polish of the epigraph
-formulation, multi-started from the Maximal Lottery, uniform, and seeded
-Dirichlet draws.  Correctness does not rest on the optimizer: every candidate
-solution is re-verified with exact rational arithmetic before being returned,
-and nonconvergence raises with the best iterate attached.
+found numerically: an SLSQP solve of the epigraph form of
+``min max_a Pr[a beats D^k]`` over the simplex, multi-started from the
+Maximal Lottery, uniform, and seeded Dirichlet draws.  Correctness does not
+rest on the optimizer: every candidate solution is re-verified with exact
+rational arithmetic before being returned, and nonconvergence raises with
+the best iterate attached.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "as_exact_lottery",
 ]
 
-ITERATION_BUDGET = 100_000
 DEFAULT_TOL_EQ = 1e-6
 
 
@@ -56,7 +55,7 @@ class StableLotteryPair:
 
 
 class StableLotteryError(RuntimeError):
-    """Optimizer ran out of budget; carries the best iterate found."""
+    """No start reached the threshold; carries the best iterate found."""
 
     def __init__(self, message: str, best: Lottery, achieved_value: float):
         super().__init__(message)
@@ -164,15 +163,6 @@ class _PowerObjective:
         return vals, grads
 
 
-def _project_simplex(p: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u > css / np.arange(1, len(p) + 1))[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(p - theta, 0.0)
-
-
 def _snap_to_exact(
     p: np.ndarray, cands: tuple[Candidate, ...], cap: int = 10**12
 ) -> Lottery:
@@ -195,7 +185,7 @@ def _sqp_polish(obj: _PowerObjective, p0: np.ndarray) -> np.ndarray:
 
     Variables (p, z); minimize z subject to g_a(p) <= z, p in the simplex.
     SLSQP with analytic Jacobians converges superlinearly near the optimum,
-    which the subgradient warmup alone cannot reach at tight tolerances.
+    so it runs straight from each start with no first-order warm-up.
     """
     m = obj.m
     x0 = np.append(p0, float(obj.value_all(p0).max()) + 1e-9)
@@ -237,7 +227,7 @@ def stable_k_lottery(e: Election, k: int, tol_eq: float = DEFAULT_TOL_EQ) -> Sta
     The attacker D is accepted once the exact check
     ``max_a Pr[a beats D^k] <= 1/(k+1) + tol_eq`` passes; the defender is the
     pure best response to the attacker.  Raises :class:`StableLotteryError`
-    with the best iterate when the iteration budget runs out.
+    with the best iterate when no start reaches the threshold.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -282,34 +272,13 @@ def stable_k_lottery(e: Election, k: int, tol_eq: float = DEFAULT_TOL_EQ) -> Sta
             return hit
 
     obj = _PowerObjective(e, k)
-    f_star = 1.0 / (k + 1)
-    warmup = 1500
     best_p = ml_vec.copy()
     best_g = float(obj.value_all(best_p).max())
     rng = np.random.default_rng(k)              # deterministic restarts
     starts = [ml_vec, uniform] + [rng.dirichlet(np.ones(e.m)) for _ in range(8)]
-    spent = 0
 
     for start in starts:
-        if spent >= ITERATION_BUDGET:
-            break
-        # Polyak-step subgradient warmup: cheap global progress toward the
-        # known optimal value 1/(k+1).
-        p = start.copy()
-        for _ in range(warmup):
-            vals, grads = obj.value_and_grads(p)
-            a = int(np.argmax(vals))
-            g = float(vals[a])
-            if g < best_g:
-                best_g, best_p = g, p.copy()
-            grad = grads[a]
-            gnorm2 = float(grad @ grad)
-            if gnorm2 < 1e-24 or g <= f_star + 1e-12:
-                break
-            step = max(g - f_star, 0.0) / gnorm2
-            p = _project_simplex(p - min(step, 10.0) * grad)
-        spent += warmup
-        p = _sqp_polish(obj, p)
+        p = _sqp_polish(obj, start)
         g = float(obj.value_all(p).max())
         if g < best_g:
             best_g, best_p = g, p.copy()

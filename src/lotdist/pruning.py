@@ -102,27 +102,28 @@ def verify_quasi_kernel(g: ThresholdDigraph, members: Iterable[Candidate]) -> bo
 def quasi_kernel(g: ThresholdDigraph) -> QuasiKernel:
     """A quasi-kernel, deterministic in the vertex order.
 
-    The classical inductive argument run directly: take the last vertex u,
-    recurse on the graph with u and its out-neighborhood removed, and add u
-    to the result unless the smaller kernel already has an edge into u.  The
-    output is always re-verified; failure here means a bug, not bad input.
+    The classical inductive argument, unrolled into two loops: take the last
+    vertex u, remove u and its out-neighborhood, and repeat on what is left;
+    then, from the last removal back to the first, add each u to the result
+    unless the result already has an edge into u.  The output is always
+    re-verified; failure here means a bug, not bad input.
     """
+    picked: list[Candidate] = []
+    remaining = list(g.vertices)
+    while remaining:
+        u = remaining.pop()
+        picked.append(u)
+        remaining = [v for v in remaining if (u, v) not in g.edges]
 
-    edges = g.edges
+    into: dict[Candidate, set[Candidate]] = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        into[b].add(a)
+    chosen: set[Candidate] = set()
+    for u in reversed(picked):
+        if into[u].isdisjoint(chosen):
+            chosen.add(u)
 
-    def construct(vertices: tuple[Candidate, ...]) -> list[Candidate]:
-        if not vertices:
-            return []
-        u = vertices[-1]
-        out_u = {b for a, b in edges if a == u and b in vertices}
-        rest = tuple(v for v in vertices if v != u and v not in out_u)
-        inner = construct(rest)
-        if any((v, u) in edges for v in inner):
-            return inner
-        return inner + [u]
-
-    members = construct(g.vertices)
-    members = tuple(c for c in g.vertices if c in members)
+    members = tuple(c for c in g.vertices if c in chosen)
     if not verify_quasi_kernel(g, members):
         raise RuntimeError(f"constructed set {members} fails quasi-kernel verification")
     return QuasiKernel(members)

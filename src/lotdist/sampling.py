@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -65,31 +66,33 @@ def _rng(seed: SeedLike) -> np.random.Generator:
 def empirical_sampling(e: Election, base: Lottery, q: int, seed: SeedLike) -> Multiset:
     """Multiset of q i.i.d. draws from ``base``, deterministic given the seed.
 
-    Inversion sampling against exact cumulative weights: each uniform variate
-    is converted to an exact rational before comparison, so float base
-    lotteries sample without re-normalization drift and identical seeds give
-    identical multisets on any platform.
+    Inversion sampling against exact cumulative weights cum_1 <= ... <= cum_r
+    = total, in candidate order: a uniform variate u draws the first
+    candidate c with u * total < cum_c, compared as exact rationals, so float
+    base lotteries sample without re-normalization drift and identical seeds
+    give identical multisets on any platform.
+
+    numpy's ``Generator.random`` returns u = j / 2**53 for an integer
+    0 <= j < 2**53, so u * total < cum_c holds exactly when
+    j < 2**53 * cum_c / total, that is when j < t_c = ceil(2**53 * cum_c / total).
+    The thresholds t_c are computed once in integer arithmetic, and each
+    draw's candidate is the number of thresholds <= j, found for all q draws
+    at once by ``searchsorted``.  The last threshold is 2**53 > j, so every
+    draw lands on a candidate; a zero weight repeats the previous threshold
+    and is never drawn.  Candidates enter the multiset in order of first draw.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     rng = _rng(seed)
     cands = [c for c in e.candidates if c in base.weights]
-    cum = []
-    acc = Fraction(0)
-    for c in cands:
-        acc += Fraction(base.weights[c])
-        cum.append(acc)
-    total = acc
-    counts: dict[str, int] = {}
-    for u in rng.random(q):
-        x = Fraction(float(u)) * total
-        for c, bound in zip(cands, cum):
-            if x < bound:
-                counts[c] = counts.get(c, 0) + 1
-                break
-        else:  # u rounded to >= 1 cannot happen; guard anyway
-            counts[cands[-1]] = counts.get(cands[-1], 0) + 1
-    return Multiset(counts)
+    weights = [Fraction(base.weights[c]) for c in cands]
+    den = math.lcm(*(w.denominator for w in weights))
+    cum = list(accumulate(w.numerator * (den // w.denominator) for w in weights))
+    thresholds = np.array([-(-(c << 53) // cum[-1]) for c in cum], dtype=np.int64)
+    drawn = np.searchsorted(thresholds, (rng.random(q) * 2**53).astype(np.int64),
+                            side="right")
+    counts = np.bincount(drawn, minlength=len(cands))
+    return Multiset({cands[i]: int(counts[i]) for i in dict.fromkeys(drawn.tolist())})
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,12 @@ def sample_until_repapx(e: Election, base: Lottery, k: int, epsilon: float,
     probability at least gamma/(1+gamma), so the loop is short; if
     ``max_attempts`` is exhausted anyway, the best attempt rides along on the
     raised :class:`RepApxSamplingError`.
+
+    Attempt i uses the i-th child of the seed's ``SeedSequence``, spawned when
+    the attempt starts, so the children are those a batch
+    ``spawn(max_attempts)`` would give.  A ``SeedSequence`` passed in has its
+    spawn counter advanced by the number of attempts used, so passing the
+    same one again yields different children.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -180,7 +189,8 @@ def sample_until_repapx(e: Election, base: Lottery, k: int, epsilon: float,
         raise TypeError("seed must be an int or a SeedSequence")
     tol = (1.0 + gamma) * epsilon
     best: RepApxCertificate | None = None
-    for attempt, child in enumerate(ss.spawn(max_attempts), start=1):
+    for attempt in range(1, max_attempts + 1):
+        (child,) = ss.spawn(1)
         ms = empirical_sampling(e, base, q, np.random.Generator(np.random.PCG64(child)))
         cert = check_repapx(e, ms.induced_lottery(), base, k, tol, attempts=attempt)
         if cert.valid:

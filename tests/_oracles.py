@@ -11,7 +11,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from lotdist import Election, Lottery
+import numpy as np
+
+from lotdist import Election, Lottery, Multiset
 
 
 def beats_power_enum(e: Election, a, d: Lottery, k: int) -> Fraction:
@@ -40,6 +42,28 @@ def beats_power_enum(e: Election, a, d: Lottery, k: int) -> Fraction:
                 won += Fraction(weight, (1 + tup.count(a)) * total_weight)
         result += p_tuple * won
     return result
+
+
+def fraction_sampling(e: Election, base: Lottery, q: int, seed) -> Multiset:
+    """q inversion draws from ``base``, one exact Fraction comparison per draw.
+
+    Each uniform u is converted to its exact rational and scaled by the exact
+    weight total, then compared against the cumulative weights in candidate
+    order; candidates enter the multiset in order of first draw.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    cands = [c for c in e.candidates if c in base.weights]
+    cum = []
+    acc = Fraction(0)
+    for c in cands:
+        acc += Fraction(base.weights[c])
+        cum.append(acc)
+    counts: dict = {}
+    for u in rng.random(q):
+        x = Fraction(float(u)) * acc
+        c = next(c for c, bound in zip(cands, cum) if x < bound)
+        counts[c] = counts.get(c, 0) + 1
+    return Multiset(counts)
 
 
 def definition_distances(e: Election, x: dict, i_star) -> dict:
@@ -150,6 +174,25 @@ def lambda_grid_feasible(lam: float, theta: float, k: int, eps: float,
         if p > max(flat, curve) + 1e-15:
             return False
     return True
+
+
+def recursive_quasi_kernel(vertices: tuple, edges) -> tuple:
+    """Quasi-kernel by the textbook induction, recursing once per removal.
+
+    Take the last vertex u, recurse on the graph without u and its
+    out-neighbours, and add u unless the smaller kernel has an edge into u.
+    Members come back in vertex order.
+    """
+    def construct(vs: tuple) -> list:
+        if not vs:
+            return []
+        u = vs[-1]
+        rest = tuple(v for v in vs[:-1] if (u, v) not in edges)
+        inner = construct(rest)
+        return inner if any((v, u) in edges for v in inner) else inner + [u]
+
+    members = set(construct(tuple(vertices)))
+    return tuple(v for v in vertices if v in members)
 
 
 def binomial_band(trials: int, p: float, sigmas: float = 3.0) -> tuple:

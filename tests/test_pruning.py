@@ -1,5 +1,6 @@
 """Tests for threshold digraphs, quasi-kernels, and the pruning pipeline."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from lotdist.pruning import (
     verify_quasi_kernel,
 )
 
-from _oracles import lambda_grid_feasible
+from _oracles import lambda_grid_feasible, recursive_quasi_kernel
 
 
 def _digraph(vertices, edges):
@@ -77,6 +78,23 @@ def test_path_kernel():
 def test_empty_digraph_keeps_everything():
     g = _digraph("abcd", [])
     assert set(quasi_kernel(g).members) == {"a", "b", "c", "d"}
+
+
+def test_edgeless_digraph_with_many_vertices_keeps_everything():
+    # Deep enough to overflow a construction that recursed once per vertex.
+    vertices = [f"c{i}" for i in range(1500)]
+    assert quasi_kernel(_digraph(vertices, [])).members == tuple(vertices)
+
+
+def test_kernel_matches_recursive_construction():
+    rng = random.Random(8)
+    for _ in range(200):
+        vertices = "abcdefgh"[: rng.randint(1, 8)]
+        pairs = [(a, b) for a in vertices for b in vertices if a < b]
+        edges = [(a, b) if rng.random() < 0.5 else (b, a)
+                 for a, b in pairs if rng.random() < 0.6]
+        g = _digraph(vertices, edges)
+        assert quasi_kernel(g).members == recursive_quasi_kernel(g.vertices, g.edges)
 
 
 def test_three_cycle_kernel_is_single_vertex():

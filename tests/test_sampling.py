@@ -19,7 +19,7 @@ from lotdist.sampling import (
     sample_until_repapx,
 )
 
-from _oracles import binomial_band
+from _oracles import binomial_band, fraction_sampling
 
 
 # ---------------------------------------------------------------- sample sizes
@@ -121,6 +121,34 @@ def test_sampling_law_two_candidates(split2):
     assert lo <= hits / 100_000 <= hi
 
 
+def _oracle_bases():
+    """Bases for the sampler oracle: exact, 1e12-snapped, float, zero entry."""
+    rng = np.random.default_rng(2024)
+    names = ["a", "b", "c", "d", "e"]
+    exact = Lottery({"a": Fraction(1, 3), "b": Fraction(1, 7), "c": Fraction(2, 9),
+                     "d": Fraction(4, 63), "e": Fraction(5, 21)})
+    snapped = [Fraction(float(x)).limit_denominator(10**12)
+               for x in rng.dirichlet(np.ones(5))]
+    snapped[0] += 1 - sum(snapped)
+    floats = {c: float(x) for c, x in zip(names, rng.dirichlet(np.ones(5)))}
+    zero = Lottery({"a": Fraction(0), "b": Fraction(3, 8), "c": Fraction(0),
+                    "d": Fraction(5, 8), "e": Fraction(0)})
+    return {"exact": exact, "snapped": Lottery(dict(zip(names, snapped))),
+            "float": Lottery(floats), "zero-entry": zero}
+
+
+@pytest.mark.parametrize("q", [1, 40, 7697, 10**5])
+@pytest.mark.parametrize("kind", ["exact", "snapped", "float", "zero-entry"])
+def test_sampling_matches_fraction_oracle(kind, q):
+    """Same multiset, counts and first-draw order as one Fraction test per draw."""
+    e = generate_election("uniform-random", n=3, m=5, seed=0)
+    base = _oracle_bases()[kind]
+    for seed in (0, 1):
+        got = empirical_sampling(e, base, q, seed=seed)
+        want = fraction_sampling(e, base, q, seed=seed)
+        assert list(got.counts.items()) == list(want.counts.items())
+
+
 def test_sampling_rejects_nonpositive_q(cycle3):
     with pytest.raises(ValueError):
         empirical_sampling(cycle3, Lottery.point("a"), 0, seed=1)
@@ -197,6 +225,34 @@ def test_exhaustion_reports_best_attempt(cycle3):
     assert best.support_ok and not best.valid
     assert best.achieved == pytest.approx(2 / 3, abs=1e-12)
     assert "4 attempts" in str(exc.value)
+
+
+def _batch_spawn_certificate(e, base, k, epsilon, gamma, seed, max_attempts, q):
+    """The attempt loop with every child seed spawned before the first attempt."""
+    tol = (1.0 + gamma) * epsilon
+    children = np.random.SeedSequence(seed).spawn(max_attempts)
+    for attempt, child in enumerate(children, start=1):
+        ms = fraction_sampling(e, base, q, np.random.Generator(np.random.PCG64(child)))
+        cert = check_repapx(e, ms.induced_lottery(), base, k, tol, attempts=attempt)
+        if cert.valid:
+            return cert
+    return None
+
+
+def test_late_success_matches_batch_spawned_seeds(cycle3):
+    # Three draws from the uniform cycle lottery certify at tolerance 0.02
+    # only when all three candidates are drawn, so attempts often run long.
+    ml = maximal_lottery(cycle3)
+    for seed in (0, 3, 6):
+        cert = sample_until_repapx(cycle3, ml, k=1, epsilon=0.01, gamma=1.0,
+                                   seed=seed, max_attempts=50, q=3)
+        assert cert.attempts >= 2
+        assert cert == _batch_spawn_certificate(cycle3, ml, 1, 0.01, 1.0, seed, 50, 3)
+        ss = np.random.SeedSequence(seed)
+        again = sample_until_repapx(cycle3, ml, k=1, epsilon=0.01, gamma=1.0,
+                                    seed=ss, max_attempts=50, q=3)
+        assert again == cert
+        assert ss.n_children_spawned == cert.attempts
 
 
 def test_valid_certificates_recheck_exactly(corpus, corpus_lotteries):
